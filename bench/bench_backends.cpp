@@ -3,8 +3,9 @@
 // total TAM widths 16..64 — now a thin client of the job-oriented
 // api::Solver: one SolveRequest per (SOC, width, backend), executed as a
 // parallel batch with deterministic result ordering. For each run the
-// testing time, the CPU time, and the gap to the architecture-independent
-// lower bound are recorded; for rectpack the delta against the
+// testing time, the CPU time, the gap to the architecture-independent
+// lower bound, and why the engine stopped are recorded (a point at the
+// bound is proved optimal); for rectpack the delta against the
 // enumerative flow is reported (the ISSUE-2 acceptance asks it to stay
 // within +5% on d695 at W=32/64 — negative deltas mean rectangle packing
 // reclaimed idle wires the test bus could not). Results are printed as
@@ -55,6 +56,22 @@ soc::Soc synthetic(std::uint64_t seed) {
   return soc::generate_soc(spec);
 }
 
+/// The engine's `stopped` detail (lower_bound|budget|exhausted|interrupt).
+std::string stop_reason(const core::BackendOutcome& outcome) {
+  for (const auto& [key, value] : outcome.details)
+    if (key == "stopped") return value;
+  return "-";
+}
+
+/// The stop reason, lower bound, and whether the bound was reached.
+void set_bound_fields(bench::Json& entry, const api::SolveResult& result) {
+  entry.set("lower_bound", bench::Json::number(result.lower_bound));
+  entry.set("stopped", bench::Json::string(stop_reason(*result.outcome)));
+  entry.set("at_lower_bound",
+            bench::Json::boolean(result.outcome->testing_time ==
+                                 result.lower_bound));
+}
+
 }  // namespace
 
 int main() {
@@ -90,12 +107,12 @@ int main() {
   for (const soc::Soc& soc : socs) {
     common::TextTable table("Backends on " + soc.name + " (" +
                             std::to_string(soc.core_count()) + " cores)");
-    table.set_header({"W", "backend", "T (cycles)", "LB", "gap %", "CPU s",
-                      "vs enum %"},
+    table.set_header({"W", "backend", "T (cycles)", "LB", "gap %",
+                      "proved optimal", "CPU s", "vs enum %"},
                      {common::Align::Right, common::Align::Left,
                       common::Align::Right, common::Align::Right,
-                      common::Align::Right, common::Align::Right,
-                      common::Align::Right});
+                      common::Align::Right, common::Align::Left,
+                      common::Align::Right, common::Align::Right});
 
     for (const int width : kWidths) {
       std::map<std::string, std::int64_t> per_backend;
@@ -137,6 +154,7 @@ int main() {
                        std::to_string(outcome.testing_time),
                        std::to_string(result.lower_bound),
                        common::format_fixed(gap * 100.0, 2),
+                       outcome.testing_time == result.lower_bound ? "yes" : "",
                        common::format_fixed(outcome.cpu_s, 3), vs_enum});
 
         bench::Json entry = bench::Json::object();
@@ -146,7 +164,7 @@ int main() {
         entry.set("backend", bench::Json::string(name));
         entry.set("testing_time", bench::Json::number(outcome.testing_time));
         entry.set("cpu_s", bench::Json::number(outcome.cpu_s));
-        entry.set("lower_bound", bench::Json::number(result.lower_bound));
+        set_bound_fields(entry, result);
         entry.set("gap", bench::Json::number(gap));
         entry.set("schedule_valid",
                   bench::Json::boolean(result.schedule_valid));
@@ -317,6 +335,7 @@ int main() {
     entry.set("inflation_pct", bench::Json::number(inflation));
     entry.set("schedule_valid", bench::Json::boolean(result.schedule_valid));
     entry.set("cpu_s", bench::Json::number(result.outcome->cpu_s));
+    set_bound_fields(entry, result);
     constrained_runs.push(std::move(entry));
   }
   std::cout << constrained_table << "\n";

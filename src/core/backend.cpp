@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/co_optimizer.hpp"
+#include "core/lower_bounds.hpp"
 #include "core/power.hpp"
 
 namespace wtam::core {
@@ -51,6 +52,11 @@ class EnumerativeBackend final : public OptimizerBackend {
     co.search.max_tams = options.max_tams;
     co.search.threads = options.threads;
     co.search.context = &context;
+    // The search ends once its heuristic best reaches the lower bound:
+    // no partition can beat it, so the winner is the one a full search
+    // returns, and the exact step still runs on it.
+    co.search.stop_at =
+        testing_time_lower_bounds(table, total_width).combined();
     co.run_final_step = options.run_final_step;
     const auto result = co_optimize(table, total_width, co);
 
@@ -67,6 +73,12 @@ class EnumerativeBackend final : public OptimizerBackend {
         "assignment", format_assignment(result.architecture.assignment));
     outcome.details.emplace_back(
         "heuristic time", std::to_string(result.heuristic.best.testing_time));
+    outcome.details.emplace_back(
+        "stopped",
+        result.interrupt != SolveInterrupt::None ? "interrupt"
+        : result.heuristic.best.testing_time <= co.search.stop_at
+            ? "lower_bound"
+            : "exhausted");
 
     if (constraints.has_power()) {
       // Honor the budget on the architecture the power-blind search
@@ -123,6 +135,10 @@ class RectPackBackend final : public OptimizerBackend {
     outcome.interrupt = result.interrupt;
     outcome.details.emplace_back("seed ordering", result.seed_ordering);
     outcome.details.emplace_back("repacks", std::to_string(result.repacks));
+    outcome.details.emplace_back(
+        "stopped", result.interrupt != SolveInterrupt::None ? "interrupt"
+                   : result.makespan <= result.lower_bound  ? "lower_bound"
+                                                            : "budget");
     if (!options.constraints.empty())
       outcome.details.emplace_back(
           "constraints", canonical_constraints(options.constraints));

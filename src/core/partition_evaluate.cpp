@@ -24,6 +24,12 @@ constexpr std::int64_t kInfinity = std::numeric_limits<std::int64_t>::max();
 /// so the serial run would have aborted it too.
 constexpr std::int64_t kWorkerAborted = -1;
 
+/// True once `best` satisfies options.stop_at (never when it is 0).
+bool stop_reached(const PartitionEvaluateOptions& options,
+                  std::int64_t best) noexcept {
+  return options.stop_at > 0 && best <= options.stop_at;
+}
+
 /// A block of consecutively enumerated partitions, flattened:
 /// `widths[i*parts .. (i+1)*parts)` is partition i of the chunk.
 struct PartitionChunk {
@@ -87,6 +93,7 @@ void search_b_serial(const TestTimeProvider& table, int total_width, int b,
             global_best = time;
             result.best = assigned.architecture;
             result.best_tams = b;
+            if (stop_reached(options, global_best)) return false;
           }
         }
         return true;
@@ -119,6 +126,10 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
   std::atomic<std::int64_t> shared_tau{initial_tau};
   // The serial tau trajectory, advanced only inside the ordered merge.
   std::int64_t merge_tau = initial_tau;
+  // Set by the merge at the partition where the serial run would stop
+  // (options.stop_at reached); the producer stops enumerating and
+  // workers drop their chunks, none of which is merged any more.
+  std::atomic<bool> stopped{false};
 
   const auto process = [&](const PartitionChunk& chunk) {
     ChunkOutcome out;
@@ -133,6 +144,7 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
     // order, so the bound stays >= the serial tau at each position.
     std::int64_t local_tau = shared_tau.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < count; ++i) {
+      if (stopped.load(std::memory_order_relaxed)) break;
       const std::span<const int> widths(chunk.widths.data() + i * parts,
                                         parts);
       CoreAssignOptions assign_options;
@@ -157,6 +169,7 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
   };
 
   const auto merge = [&](ChunkOutcome&& outcome) {
+    if (stopped.load(std::memory_order_relaxed)) return;
     const auto parts = static_cast<std::size_t>(outcome.parts);
     for (std::size_t i = 0; i < outcome.full_time.size(); ++i) {
       ++stats.partitions_unique;
@@ -175,6 +188,13 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
         const int* first = outcome.widths.data() + i * parts;
         stats.best_partition.assign(first, first + parts);
         shared_tau.store(merge_tau, std::memory_order_release);
+        // global_best > stop_at when this B began (the search would have
+        // ended otherwise), so this is exactly where the serial run's
+        // global best first reaches stop_at.
+        if (stop_reached(options, merge_tau)) {
+          stopped.store(true, std::memory_order_relaxed);
+          return;
+        }
       }
     }
   };
@@ -197,6 +217,7 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
   std::uint64_t enumerated = 0;
   partition::for_each_partition_min(
       total_width, b, options.min_tam_width, [&](std::span<const int> widths) {
+        if (stopped.load(std::memory_order_relaxed)) return false;
         if (options.context != nullptr &&
             (enumerated > 0 || global_best != kInfinity)) {
           const SolveInterrupt fired = options.context->poll();
@@ -215,8 +236,13 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
         current.widths.reserve(chunk_capacity);
         return ok;
       });
-  if (!current.widths.empty()) pipeline.push(std::move(current));
+  if (!current.widths.empty() && !stopped.load(std::memory_order_relaxed))
+    pipeline.push(std::move(current));
   pipeline.finish();
+  // The serial run stops at the bound before it polls the partition the
+  // producer may have interrupted at, so a stop wins over an interrupt.
+  if (stopped.load(std::memory_order_relaxed))
+    result.interrupt = SolveInterrupt::None;
 
   stats.best_time = merge_tau == kInfinity ? 0 : merge_tau;
   if (merge_tau < global_best) {
@@ -282,7 +308,9 @@ PartitionEvaluateResult partition_evaluate(
                         result);
     else
       search_b_serial(table, total_width, b, options, global_best, result);
-    if (result.interrupt != SolveInterrupt::None) break;
+    if (result.interrupt != SolveInterrupt::None ||
+        stop_reached(options, global_best))
+      break;
   }
 
   if (global_best == kInfinity)

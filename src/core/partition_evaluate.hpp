@@ -62,6 +62,13 @@ struct PartitionEvaluateOptions {
   /// interrupt, so an interrupted result still carries a best incumbent.
   /// nullptr = run to completion (no polling overhead).
   const SolveContext* context = nullptr;
+  /// Stop the search once the best time is <= stop_at (0 = search every
+  /// B). Set to a proven lower bound, the best architecture is unchanged:
+  /// only a strict improvement replaces the incumbent, and nothing lies
+  /// below the bound. per_b then ends at the partition that reached it,
+  /// identically at any thread count. The paper-table benches leave it
+  /// at 0 because they report the full per-B statistics.
+  std::int64_t stop_at = 0;
 };
 
 /// Per-B statistics (Table 1 columns).

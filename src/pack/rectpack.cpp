@@ -1,8 +1,10 @@
 #include "pack/rectpack.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +13,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "core/lower_bounds.hpp"
 #include "core/power.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -439,16 +442,40 @@ struct WalkerOutcome {
   core::SolveInterrupt interrupt = core::SolveInterrupt::None;
 };
 
+/// The lowest index of a pooled walker that has finished at the lower
+/// bound. Walkers behind it abandon their walks: the seed-order merge
+/// stops at that walker, so their outcomes are never merged.
+class BoundRace {
+ public:
+  void reached(std::size_t walker) noexcept {
+    std::size_t first = first_.load(std::memory_order_relaxed);
+    while (walker < first &&
+           !first_.compare_exchange_weak(first, walker,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+  [[nodiscard]] bool beaten(std::size_t walker) const noexcept {
+    return first_.load(std::memory_order_relaxed) < walker;
+  }
+
+ private:
+  std::atomic<std::size_t> first_{std::numeric_limits<std::size_t>::max()};
+};
+
 /// `rng_seed` is the walker's pre-derived stream seed (the k-th output of
 /// the splitmix64 sequence over options.seed, derived in seed order by
-/// the caller so serial and pooled runs draw identical streams).
+/// the caller so serial and pooled runs draw identical streams). The walk
+/// ends as soon as its best makespan reaches `lower_bound`, which no
+/// schedule beats: every later offer would have to improve strictly.
+/// `race` is null for serial runs.
 WalkerOutcome run_walker(const RectModel& model,
                          const core::TestTimeTable& table,
                          const ConstraintPlan& plan,
                          const core::ScheduleConstraints& constraints,
                          const std::vector<int>& seed_order, int per_seed,
-                         std::uint64_t rng_seed,
-                         const core::SolveContext* context) {
+                         std::uint64_t rng_seed, std::int64_t lower_bound,
+                         const core::SolveContext* context, BoundRace* race,
+                         std::size_t walker) {
   const int n = model.core_count();
   WalkerOutcome out;
   const auto offer = [&out](PackedSchedule schedule) {
@@ -466,6 +493,10 @@ WalkerOutcome run_walker(const RectModel& model,
   offer(walker_schedule);
 
   for (int iter = 0; iter < per_seed; ++iter) {
+    // The bound is checked before the context, so a walk that is proven
+    // optimal reports no interrupt.
+    if (out.makespan <= lower_bound) return out;
+    if (race != nullptr && race->beaten(walker)) return out;
     // The first greedy pack has already been offered, so the best-so-far
     // schedule is complete whenever the context fires.
     if (context != nullptr) {
@@ -542,8 +573,9 @@ WalkerOutcome run_walker(const RectModel& model,
   // start-time order with hole filling, which can reclaim strip area
   // the skyline had to write off. Skipped once interrupted — the
   // quadratic compaction is exactly the kind of tail work a deadline
-  // is meant to cut.
-  if (out.interrupt == core::SolveInterrupt::None) {
+  // is meant to cut, and it cannot improve on the bound.
+  if (out.interrupt == core::SolveInterrupt::None &&
+      out.makespan > lower_bound) {
     PackState by_start = current;
     by_start.order.clear();
     for (const auto& p : walker_schedule.placements)
@@ -585,6 +617,9 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
   const RectModel model = build_rect_model(table, total_width);
   const ConstraintPlan plan =
       build_plan(options.constraints, table.core_count(), total_width);
+  // No schedule, constrained or not, ends before max(LB1, LB2).
+  const std::int64_t lower_bound =
+      core::testing_time_lower_bounds(table, total_width).combined();
 
   auto seeds = seed_orders(model, table);
   const int per_seed =
@@ -602,8 +637,17 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
   // monotonicity is near-certain rather than a hard guarantee.) Walkers
   // are merged strictly in seed order with strict-improvement preference,
   // which reproduces the serial offer sequence exactly — so the parallel
-  // path below is bit-identical to the serial one.
+  // path below is bit-identical to the serial one. The first walker
+  // (in seed order) that ends at the lower bound is the last one merged:
+  // no later walker could improve strictly, so the result is the same as
+  // merging them all.
   RectPackResult result;
+  result.lower_bound = lower_bound;
+  // True when no walker after this one is merged (serial: launched).
+  const auto last_merged = [lower_bound](const WalkerOutcome& outcome) {
+    return outcome.interrupt != core::SolveInterrupt::None ||
+           outcome.makespan <= lower_bound;
+  };
   const auto merge = [&result](WalkerOutcome&& outcome,
                                const std::string& seed_name) {
     result.repacks += outcome.repacks;
@@ -635,12 +679,11 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
       WalkerOutcome outcome =
           run_walker(model, table, plan, options.constraints,
                      seeds[i].second, per_seed, walker_seeds[i],
-                     options.context);
+                     lower_bound, options.context, nullptr, i);
       span.finish();
-      const bool interrupted =
-          outcome.interrupt != core::SolveInterrupt::None;
+      const bool last = last_merged(outcome);
       merge(std::move(outcome), seeds[i].first);
-      if (interrupted) break;  // stop launching walkers, like the old loop
+      if (last) break;  // launch no further walker
     }
   } else {
     const auto walker_count = seeds.size();
@@ -649,6 +692,7 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
     // at the latch, whose lock hand-off publishes the writes to the
     // waiting thread below.
     common::CompletionLatch latch;
+    BoundRace race;
     common::ThreadPool pool(
         std::min(threads, static_cast<int>(walker_count)));
     for (std::size_t i = 0; i < walker_count; ++i) {
@@ -660,7 +704,8 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
           outcomes[i] =
               run_walker(model, table, plan, options.constraints,
                          seeds[i].second, per_seed, walker_seeds[i],
-                         options.context);
+                         lower_bound, options.context, &race, i);
+          if (outcomes[i].makespan <= lower_bound) race.reached(i);
         } catch (...) {
           // Recorded for the owner to rethrow after the join — a walker
           // must not throw through the pool.
@@ -673,14 +718,14 @@ RectPackResult rectpack_schedule(const core::TestTimeTable& table,
     if (std::exception_ptr error = latch.take_error())
       std::rethrow_exception(error);
     for (std::size_t i = 0; i < walker_count; ++i) {
-      // Mirror the serial loop: an interrupted walker is the last one
-      // merged (serial never launches the rest), so the deterministic
-      // pre-cancelled case yields byte-identical results at any thread
-      // count. Mid-run interrupts are timing-dependent either way.
-      const bool interrupted =
-          outcomes[i].interrupt != core::SolveInterrupt::None;
+      // Mirror the serial loop: an interrupted walker, or one at the
+      // lower bound, is the last one merged (serial never launches the
+      // rest), so `repacks` and the deterministic pre-cancelled case are
+      // byte-identical at any thread count. Mid-run interrupts are
+      // timing-dependent either way.
+      const bool last = last_merged(outcomes[i]);
       merge(std::move(outcomes[i]), seeds[i].first);
-      if (interrupted) break;
+      if (last) break;
     }
   }
 

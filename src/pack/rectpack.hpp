@@ -12,6 +12,9 @@
 // forced to wider (faster) candidates, promoted to the front of the
 // packing order, or swapped with seeded-random peers, and the whole strip
 // is repacked after every move. Fully deterministic for a fixed seed.
+// The search ends as soon as a walker reaches the architecture-
+// independent lower bound (core/lower_bounds.hpp), which no schedule can
+// beat; the result is the one the full budget would have returned.
 //
 // The engine is constraint-complete (core::ScheduleConstraints): packing
 // orders are projected onto the precedence DAG, every placement goes
@@ -53,7 +56,8 @@ struct RectPackOptions {
   /// Cooperative cancellation/deadline, polled once per local-search
   /// iteration. The first seed ordering is always packed greedily before
   /// the first poll, so an interrupted run still returns a complete,
-  /// validator-clean schedule. nullptr = run the full budget.
+  /// validator-clean schedule. nullptr = run the full budget (or until
+  /// the lower bound is reached).
   const core::SolveContext* context = nullptr;
 };
 
@@ -63,8 +67,13 @@ struct RectPackResult {
   std::string seed_ordering;  ///< seed ordering of the walker that found it
   int repacks = 0;            ///< greedy packs performed in total
   double cpu_s = 0.0;
-  /// None when the full iteration budget ran; otherwise why the walkers
-  /// stopped early (`schedule` is the best found up to that point).
+  /// max(LB1, LB2) at the strip width (core/lower_bounds.hpp). The search
+  /// ends once a walker reaches it: no schedule can be shorter, so
+  /// makespan == lower_bound means the schedule is proven optimal.
+  std::int64_t lower_bound = 0;
+  /// None when the search ran its budget or reached the lower bound;
+  /// otherwise why the walkers stopped early (`schedule` is the best
+  /// found up to that point).
   core::SolveInterrupt interrupt = core::SolveInterrupt::None;
 };
 

@@ -281,6 +281,47 @@ TEST(CacheStore, ChecksumCleanButUndecodableRecordIsSkipped) {
   EXPECT_TRUE(cache.lookup(key_of(3)).has_value());
 }
 
+TEST(CacheStore, EngineStopReasonSurvivesASnapshot) {
+  // Both engines' `stopped` details ride in the payload's generic detail
+  // list: a warm-boot hit reports the same reason as the cold solve.
+  std::vector<SolveRequest> jobs(3);
+  jobs[0].soc = "p31108";
+  jobs[0].width = 32;
+  jobs[0].backend = "rectpack";  // first greedy pack reaches the bound
+  jobs[1].soc = "p31108";
+  jobs[1].width = 40;
+  jobs[1].backend = "enumerative";  // search stops at the bound
+  jobs[2].soc = "d695";
+  jobs[2].width = 16;
+  jobs[2].backend = "enumerative";
+  jobs[2].options.max_tams = 4;  // searched to the end, above the bound
+  const char* kStopped[] = {"lower_bound", "lower_bound", "exhausted"};
+
+  const auto cold_cache = std::make_shared<ResultCache>();
+  const std::vector<SolveResult> cold =
+      Solver(SolverOptions::with_threads(1, cold_cache)).solve_batch(jobs);
+  const std::string path = temp_path("stop-reason.snapshot");
+  EXPECT_EQ(save_cache_file(*cold_cache, path).entries, jobs.size());
+
+  const auto warm_cache = std::make_shared<ResultCache>();
+  ASSERT_EQ(load_cache_file(*warm_cache, path).entries_loaded, jobs.size());
+  const std::vector<SolveResult> warm =
+      Solver(SolverOptions::with_threads(1, warm_cache)).solve_batch(jobs);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].soc + " " + jobs[i].backend);
+    ASSERT_EQ(cold[i].status, Status::Ok);
+    EXPECT_EQ(warm[i].cache, CacheOutcome::Hit);
+    EXPECT_EQ(result_to_json(warm[i]).dump_compact_string(),
+              result_to_json(cold[i]).dump_compact_string());
+    const auto& details = warm[i].outcome->details;
+    const auto stopped =
+        std::find_if(details.begin(), details.end(),
+                     [](const auto& d) { return d.first == "stopped"; });
+    ASSERT_NE(stopped, details.end());
+    EXPECT_EQ(stopped->second, kStopped[i]);
+  }
+}
+
 TEST(CacheStore, WarmBootServesARepeatSweepEntirelyFromHits) {
   // The acceptance scenario in miniature: run a d695 width sweep cold,
   // snapshot the cache, boot a fresh solver from the snapshot, re-run

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/job_io.hpp"
 #include "api/json_value.hpp"
+#include "api/solver.hpp"
 
 namespace wtam::api {
 namespace {
@@ -315,6 +319,58 @@ TEST(JobIo, ResultsJsonIsDeterministicAndParsesBack) {
   const std::string timed = results_to_json({ok, bad}, with_timing);
   EXPECT_NE(timed.find("cpu_s"), std::string::npos);
   EXPECT_NE(timed.find("wall_s"), std::string::npos);
+}
+
+TEST(JobIo, EngineStopReasonRoundTripsThroughResultsJson) {
+  struct Case {
+    const char* soc;
+    int width;
+    const char* backend;
+    int max_tams;
+    double deadline_s;  // 0 = none
+    const char* stopped;
+  };
+  constexpr Case kCases[] = {
+      {"p31108", 32, "rectpack", 10, 0.0, "lower_bound"},
+      {"d695", 16, "rectpack", 10, 0.0, "budget"},
+      {"p31108", 40, "enumerative", 10, 0.0, "lower_bound"},
+      {"d695", 16, "enumerative", 4, 0.0, "exhausted"},
+      // Seconds of search that never reach the bound, cut by a deadline.
+      {"d695", 80, "enumerative", 24, 0.05, "interrupt"},
+      // The deadline passes during the table build, before the first poll.
+      {"p93791", 48, "rectpack", 10, 0.001, "interrupt"},
+  };
+  std::vector<SolveResult> results;
+  for (const Case& c : kCases) {
+    SolveRequest request;
+    request.soc = c.soc;
+    request.width = c.width;
+    request.backend = c.backend;
+    request.options.max_tams = c.max_tams;
+    if (c.deadline_s > 0.0) request.deadline_s = c.deadline_s;
+    results.push_back(Solver().solve(request));
+  }
+  const JsonValue document = JsonValue::parse(results_to_json(results));
+  const auto& entries = document.find("results")->elements();
+  ASSERT_EQ(entries.size(), std::size(kCases));
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Case& c = kCases[i];
+    SCOPED_TRACE(std::string(c.soc) + " w" + std::to_string(c.width) + " " +
+                 c.backend);
+    const JsonValue* details = entries[i].find("details");
+    ASSERT_NE(details, nullptr);
+    ASSERT_NE(details->find("stopped"), nullptr);
+    EXPECT_EQ(details->find("stopped")->as_string(), c.stopped);
+    // The repack count stays beside the stop reason.
+    EXPECT_EQ(details->find("repacks") != nullptr,
+              std::string(c.backend) == "rectpack");
+    const bool proven = std::string(c.stopped) == "lower_bound";
+    EXPECT_EQ(entries[i].find("testing_time")->as_int() ==
+                  entries[i].find("lower_bound")->as_int(),
+              proven);
+    EXPECT_EQ(entries[i].find("status")->as_string(),
+              c.deadline_s > 0.0 ? "deadline_exceeded" : "ok");
+  }
 }
 
 TEST(JobIo, CacheProvenanceIsOptInLikeTiming) {

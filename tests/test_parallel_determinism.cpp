@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/exhaustive.hpp"
+#include "core/lower_bounds.hpp"
 #include "core/partition_evaluate.hpp"
 #include "core/test_time_table.hpp"
 #include "soc/benchmarks.hpp"
@@ -123,6 +124,55 @@ TEST(ParallelPartitionEvaluate, BitIdenticalOnSeededSyntheticSocs) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     expect_bit_identical(table, 26, options);
   }
+}
+
+/// Runs `base` with stop_at at the lower bound and checks it against the
+/// full search: the same best architecture, and per_b equal to the full
+/// run's up to the B where the bound was reached, which is the last one.
+void expect_stop_at_bound(const TestTimeTable& table, int width,
+                          const PartitionEvaluateOptions& base) {
+  PartitionEvaluateOptions stopping = base;
+  stopping.stop_at = testing_time_lower_bounds(table, width).combined();
+  const auto full = partition_evaluate(table, width, base);
+  const auto stopped = partition_evaluate(table, width, stopping);
+  ASSERT_EQ(full.best.testing_time, stopping.stop_at);
+  expect_same_architecture(full.best, stopped.best);
+  EXPECT_EQ(full.best_tams, stopped.best_tams);
+  EXPECT_EQ(stopped.per_b.back().tams, stopped.best_tams);
+  ASSERT_LE(stopped.per_b.size(), full.per_b.size());
+  for (std::size_t i = 0; i + 1 < stopped.per_b.size(); ++i)
+    expect_same_stats(full.per_b[i], stopped.per_b[i]);
+  const PartitionSearchStats& last = stopped.per_b.back();
+  const PartitionSearchStats& last_full = full.per_b[stopped.per_b.size() - 1];
+  EXPECT_LT(last.partitions_unique, last_full.partitions_unique);
+  EXPECT_EQ(last.best_time, stopping.stop_at);
+  for (const int chunk_size : {1, 1024}) {
+    PartitionEvaluateOptions chunked = stopping;
+    chunked.chunk_size = chunk_size;
+    SCOPED_TRACE("chunk_size=" + std::to_string(chunk_size));
+    expect_bit_identical(table, width, chunked);
+  }
+}
+
+TEST(ParallelPartitionEvaluate, StopAtTheLowerBoundIsBitIdentical) {
+  // p31108 at W=40 plateaus at LB1 = 544579 (core 18): the search ends at
+  // the first partition that reaches it, serial and parallel alike.
+  const soc::Soc p31108 = soc::p31108();
+  const TestTimeTable p31108_table(p31108, 40);
+  PartitionEvaluateOptions options;
+  options.max_tams = 6;
+  expect_stop_at_bound(p31108_table, 40, options);
+
+  PartitionEvaluateOptions carried_tau = options;
+  carried_tau.reset_tau_per_b = false;
+  expect_stop_at_bound(p31108_table, 40, carried_tau);
+
+  // p21241 at W=56 reaches its bound at B > 1.
+  const soc::Soc p21241 = soc::p21241();
+  const TestTimeTable p21241_table(p21241, 56);
+  PartitionEvaluateOptions wide;
+  wide.max_tams = 8;
+  expect_stop_at_bound(p21241_table, 56, wide);
 }
 
 TEST(ParallelPartitionEvaluate, AutoThreadsRunsAndMatchesSerial) {

@@ -155,6 +155,54 @@ TEST(RectPack, PreCancelledRunBitIdenticalAcrossThreadCounts) {
   expect_identical_schedules(a, b);
 }
 
+TEST(RectPack, StopsAtTheLowerBoundIdenticallyAtAnyThreadCount) {
+  // p21241 at W=44: the area-decreasing walker spends its whole budget
+  // above the bound and the diagonal-decreasing walker reaches it, so the
+  // search stops there. Pooled walkers behind it abandon their walks; the
+  // merge must still report the serial run's repacks and schedule.
+  const soc::Soc soc_data = soc::p21241();
+  const core::TestTimeTable table(soc_data, 44);
+  RectPackOptions serial;
+  const auto reference = rectpack_schedule(table, 44, serial);
+  EXPECT_EQ(reference.lower_bound,
+            core::testing_time_lower_bounds(table, 44).combined());
+  EXPECT_EQ(reference.makespan, reference.lower_bound);
+  EXPECT_EQ(reference.seed_ordering, "diagonal-decreasing");
+  EXPECT_EQ(reference.interrupt, core::SolveInterrupt::None);
+  // Two walkers ran: fewer repacks than the 4 x (1 + 500 + 2) of a
+  // search that never reaches the bound.
+  EXPECT_GT(reference.repacks, 503);
+  EXPECT_LT(reference.repacks, 2 * 503);
+  for (const int threads : {4, 0 /* hardware */}) {
+    RectPackOptions parallel = serial;
+    parallel.threads = threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical_schedules(reference,
+                               rectpack_schedule(table, 44, parallel));
+  }
+}
+
+TEST(RectPack, ProvenOptimalFirstPackIgnoresAPreCancelledContext) {
+  // p31108 at W=32: the first greedy pack already ends at LB1 (core 18),
+  // so the walker returns before it polls the context: the schedule is
+  // proven optimal, not a best-so-far.
+  const soc::Soc soc_data = soc::p31108();
+  const core::TestTimeTable table(soc_data, 32);
+  core::SolveContext context;
+  context.cancel.request_cancel();
+  for (const int threads : {1, 4}) {
+    RectPackOptions options;
+    options.context = &context;
+    options.threads = threads;
+    const auto result = rectpack_schedule(table, 32, options);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(result.interrupt, core::SolveInterrupt::None);
+    EXPECT_EQ(result.makespan, result.lower_bound);
+    EXPECT_EQ(result.repacks, 1);
+    EXPECT_TRUE(validate_packed_schedule(table, result.schedule).empty());
+  }
+}
+
 TEST(RectPack, PowerBudgetCapsConcurrency) {
   const soc::Soc soc_data = soc::d695();
   const core::TestTimeTable table(soc_data, 32);

@@ -252,11 +252,21 @@ TEST(SolverCancel, ExactSolverHonorsTheContext) {
 }
 
 TEST(SolverCancel, CancellationFromAnotherThreadStopsALongJob) {
+  // A search that never reaches the lower bound (its best heuristic time
+  // stays above it), so only the cancel can end it early.
   SolveRequest request;
-  request.soc = "p93791";
-  request.width = 64;
+  request.soc = "d695";
+  request.width = 80;
   request.backend = "enumerative";
-  request.options.max_tams = 16;  // astronomically large search space
+  request.options.max_tams = 24;  // ~12 s of search in a Release build
+
+  // Uncancelled, the job outlives a 1 s deadline.
+  SolveRequest bounded = request;
+  bounded.deadline_s = 1.0;
+  const SolveResult long_job = Solver().solve(bounded);
+  EXPECT_EQ(long_job.status, Status::DeadlineExceeded);
+  ASSERT_TRUE(long_job.has_outcome());
+  EXPECT_GT(long_job.outcome->testing_time, long_job.lower_bound);
 
   CancelToken cancel;
   std::thread canceller([cancel] {

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""CI gate for the constrained bench_backends section (ISSUE-10).
+"""CI gate for BENCH_backends.json.
 
-Reads BENCH_backends.json and fails when any constrained point regressed
-past a generous per-point wall-clock ceiling, or produced an invalid
-schedule. The ceiling is deliberately loose — CI runners are noisy, so
-this is a cliff detector (the 10x constrained-vs-unconstrained gap the
-incremental power timeline removed), not a tight perf pin; the JSON is
-uploaded as an artifact so humans can track the actual trend.
+Fails when any constrained point regressed past a generous per-point
+wall-clock ceiling, or produced an invalid schedule. The ceiling is
+deliberately loose — CI runners are noisy, so this is a cliff detector
+(the 10x constrained-vs-unconstrained gap the incremental power timeline
+removed), not a tight perf pin; the JSON is uploaded as an artifact so
+humans can track the actual trend.
+
+Also fails when any point, constrained or not, reports a testing time
+below its lower bound: both engines stop searching once they reach the
+bound, so a broken bound would make that stop unsound.
 
 Usage: check_bench_constrained.py BENCH_backends.json [--max-cpu-s 2.5]
 """
@@ -37,6 +41,19 @@ def main() -> int:
         return 1
 
     failures = []
+    for point in document.get("runs", []) + constrained:
+        if "testing_time" not in point or "lower_bound" not in point:
+            continue  # failed jobs carry no outcome
+        if int(point["testing_time"]) < int(point["lower_bound"]):
+            label = "/".join(
+                str(point[key])
+                for key in ("soc", "backend", "width", "variant")
+                if key in point
+            )
+            failures.append(
+                f"{label}: testing time {point['testing_time']} is below "
+                f"the lower bound {point['lower_bound']}"
+            )
     for point in constrained:
         label = "{soc}/{backend}/{variant}".format(**point)
         cpu_s = float(point["cpu_s"])
@@ -53,13 +70,13 @@ def main() -> int:
         print(line)
 
     if failures:
-        print(f"FAIL: {len(failures)} constrained point(s) out of bounds:")
+        print(f"FAIL: {len(failures)} check(s) out of bounds:")
         for failure in failures:
             print("  -", failure)
         return 1
     print(
         f"OK: {len(constrained)} constrained points within the "
-        f"{args.max_cpu_s:.1f}s ceiling"
+        f"{args.max_cpu_s:.1f}s ceiling; no point below its lower bound"
     )
     return 0
 
