@@ -199,10 +199,12 @@ FleetOutcome run_fleet_phase(const std::string& bin_dir,
   obs::Histogram latency;
 
   std::thread reader([&] {
-    while (const std::optional<std::string> line = router.read_line()) {
+    std::string line;
+    while (router.framer().read_line(line) ==
+           common::LineFramer::Status::Line) {
       api::JsonValue value;
       try {
-        value = api::JsonValue::parse(*line);
+        value = api::JsonValue::parse(line);
       } catch (const std::exception&) {
         continue;
       }

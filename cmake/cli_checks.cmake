@@ -775,3 +775,178 @@ endforeach()
 message(STATUS "multi-host fleet holds (pipe+TCP byte-identical to the "
                "baseline, kill mid-batch replayed, resize 2->3 re-sharded "
                "to cache hits)")
+
+# ---- oversized frames: one bound on every transport ------------------------
+# A valid d695 job padded past common::kMaxLineBytes (8 MiB) by its tag,
+# then a normal job, then a shutdown. wtam_serve over stdin, wtam_router
+# over stdin, and wtam_serve --listen over TCP must each answer exactly
+# one {"error": ...} line that names the line-length bound, before the
+# normal job's answer: every transport reads through the same bounded
+# framer and resyncs past the oversized frame. wtam_serve gives the same
+# error text on stdin and TCP; the router prefixes its own with
+# "router: ".
+string(REPEAT "x" 8388700 oversized_tag)
+file(WRITE ${WORK_DIR}/oversized.ndjson
+"{\"id\": \"big\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\", \"tag\": \"${oversized_tag}\"}
+{\"id\": \"after\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\"}
+{\"op\": \"shutdown\"}
+")
+unset(oversized_tag)
+
+# Checks one transport's answers; returns the error text in `error_var`.
+function(check_oversized transport output error_var)
+  string(REGEX REPLACE "\n+$" "" output "${output}")
+  string(REPLACE ";" "<semi>" escaped "${output}")
+  string(REPLACE "\n" ";" lines "${escaped}")
+  set(error_count 0)
+  set(error_text "")
+  set(after_seen FALSE)
+  foreach(line IN LISTS lines)
+    string(REPLACE "<semi>" ";" line "${line}")
+    string(JSON error ERROR_VARIABLE no_error GET "${line}" error)
+    if(no_error STREQUAL "NOTFOUND")
+      if(after_seen)
+        message(FATAL_ERROR "${transport}: the oversized frame's error came "
+                            "after the next job's answer:\n${output}")
+      endif()
+      math(EXPR error_count "${error_count} + 1")
+      set(error_text "${error}")
+      continue()
+    endif()
+    string(JSON id ERROR_VARIABLE no_id GET "${line}" id)
+    if(NOT no_id STREQUAL "NOTFOUND")
+      continue()  # shutdown ack
+    endif()
+    string(JSON status GET "${line}" status)
+    if(NOT id STREQUAL "after" OR NOT status STREQUAL "ok")
+      string(SUBSTRING "${line}" 0 200 head)
+      message(FATAL_ERROR "${transport}: unexpected answer for job '${id}' "
+                          "(status '${status}'): ${head}...")
+    endif()
+    set(after_seen TRUE)
+  endforeach()
+  if(NOT error_count EQUAL 1)
+    message(FATAL_ERROR "${transport}: ${error_count} error lines for the "
+                        "oversized frame, expected 1:\n${output}")
+  endif()
+  if(NOT error_text MATCHES "^(router: )?line 1: .*line-length bound")
+    message(FATAL_ERROR "${transport}: error does not name the line-length "
+                        "bound: ${error_text}")
+  endif()
+  if(NOT after_seen)
+    message(FATAL_ERROR "${transport}: no answer for the job after the "
+                        "oversized frame:\n${output}")
+  endif()
+  set(${error_var} "${error_text}" PARENT_SCOPE)
+endfunction()
+
+execute_process(COMMAND ${WTAM_SERVE} --quiet --threads 2
+                INPUT_FILE ${WORK_DIR}/oversized.ndjson
+                OUTPUT_VARIABLE oversized_out
+                ERROR_VARIABLE oversized_err
+                RESULT_VARIABLE oversized_code)
+if(NOT oversized_code EQUAL 0)
+  message(FATAL_ERROR "wtam_serve stdin oversized run: exit "
+                      "${oversized_code}\nstderr: ${oversized_err}")
+endif()
+check_oversized("wtam_serve stdin" "${oversized_out}" stdin_error)
+
+execute_process(COMMAND ${WTAM_ROUTER} --quiet --workers 2
+                        --serve ${WTAM_SERVE}
+                INPUT_FILE ${WORK_DIR}/oversized.ndjson
+                OUTPUT_VARIABLE oversized_out
+                ERROR_VARIABLE oversized_err
+                RESULT_VARIABLE oversized_code)
+if(NOT oversized_code EQUAL 0)
+  message(FATAL_ERROR "wtam_router stdin oversized run: exit "
+                      "${oversized_code}\nstderr: ${oversized_err}")
+endif()
+check_oversized("wtam_router stdin" "${oversized_out}" router_error)
+if(NOT router_error STREQUAL "router: ${stdin_error}")
+  message(FATAL_ERROR "wtam_router's oversized-frame error '${router_error}' "
+                      "is not 'router: ' + wtam_serve's '${stdin_error}'")
+endif()
+
+# TCP: bash's /dev/tcp is the client. The shutdown verb ends the
+# server, which closes the connection and so ends the read.
+find_program(WTAM_BASH bash)
+if(NOT WTAM_BASH)
+  message(FATAL_ERROR "the TCP oversized-frame check needs bash (/dev/tcp)")
+endif()
+launch_tcp_worker(oversized)
+await_endpoint(oversized oversized_ep)
+string(REPLACE ":" "/" oversized_path "${oversized_ep}")
+execute_process(COMMAND ${WTAM_BASH} -c "exec 3<>/dev/tcp/${oversized_path} && cat '${WORK_DIR}/oversized.ndjson' >&3 && cat <&3"
+                OUTPUT_VARIABLE oversized_out
+                ERROR_VARIABLE oversized_err
+                RESULT_VARIABLE oversized_code)
+if(NOT oversized_code EQUAL 0)
+  message(FATAL_ERROR "wtam_serve TCP oversized run: exit "
+                      "${oversized_code}\nstderr: ${oversized_err}")
+endif()
+check_oversized("wtam_serve TCP" "${oversized_out}" tcp_error)
+if(NOT tcp_error STREQUAL stdin_error)
+  message(FATAL_ERROR "wtam_serve answers an oversized frame differently on "
+                      "stdin ('${stdin_error}') and TCP ('${tcp_error}')")
+endif()
+
+# A request under the bound whose answer is not: the tag (echoed in the
+# result) pads it to 8 MiB - 200 bytes. wtam_serve must answer it with an
+# {"id", "error"} line naming the bound, so the router, which reads its
+# workers through the same bounded framer, still gets exactly one answer
+# for the job and forwards it under the client's id.
+math(EXPR near_bound_length "8388608 - 200")
+string(REPEAT "x" ${near_bound_length} near_bound_tag)
+file(WRITE ${WORK_DIR}/near_bound.ndjson
+"{\"id\": \"near\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\", \"tag\": \"${near_bound_tag}\"}
+{\"id\": \"after\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\"}
+{\"op\": \"shutdown\"}
+")
+unset(near_bound_tag)
+foreach(transport serve router)
+  if(transport STREQUAL "serve")
+    set(near_command ${WTAM_SERVE} --quiet --threads 2)
+  else()
+    set(near_command ${WTAM_ROUTER} --quiet --workers 2 --serve ${WTAM_SERVE})
+  endif()
+  execute_process(COMMAND ${near_command}
+                  INPUT_FILE ${WORK_DIR}/near_bound.ndjson
+                  OUTPUT_VARIABLE near_out
+                  ERROR_VARIABLE near_err
+                  RESULT_VARIABLE near_code)
+  if(NOT near_code EQUAL 0)
+    message(FATAL_ERROR "wtam_${transport} near-bound run: exit "
+                        "${near_code}\nstderr: ${near_err}")
+  endif()
+  string(LENGTH "${near_out}" near_out_length)
+  if(near_out_length GREATER 100000)
+    message(FATAL_ERROR "wtam_${transport} sent the near-bound job's "
+                        "oversized answer (${near_out_length} bytes out)")
+  endif()
+  string(REGEX REPLACE "\n+$" "" near_out "${near_out}")
+  string(REPLACE "\n" ";" near_lines "${near_out}")
+  set(near_errors 0)
+  set(near_after FALSE)
+  foreach(line IN LISTS near_lines)
+    string(JSON id ERROR_VARIABLE no_id GET "${line}" id)
+    if(id STREQUAL "near")
+      string(JSON error ERROR_VARIABLE no_error GET "${line}" error)
+      if(NOT no_error STREQUAL "NOTFOUND" OR
+         NOT error MATCHES "line-length bound of 8388608 bytes")
+        message(FATAL_ERROR "wtam_${transport}: the near-bound job's answer "
+                            "is not an error naming the bound: ${line}")
+      endif()
+      math(EXPR near_errors "${near_errors} + 1")
+    elseif(id STREQUAL "after")
+      set(near_after TRUE)
+    endif()
+  endforeach()
+  if(NOT near_errors EQUAL 1 OR NOT near_after)
+    message(FATAL_ERROR "wtam_${transport}: expected one error for 'near' "
+                        "and an answer for 'after':\n${near_out}")
+  endif()
+endforeach()
+
+message(STATUS "oversized frames answered by one bounded error on every "
+               "transport (wtam_serve stdin + TCP, wtam_router stdin), "
+               "and an answer past the bound by an {id, error} line")

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -13,13 +12,6 @@
 namespace wtam::common {
 
 namespace {
-
-/// A dead child's pipe must surface as a failed write, not a fatal
-/// SIGPIPE — done once, process-wide, before the first spawn.
-void ignore_sigpipe_once() {
-  static std::once_flag once;
-  std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
 
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
@@ -35,7 +27,7 @@ void close_quietly(int fd) {
 Subprocess::Subprocess(std::vector<std::string> argv) {
   if (argv.empty())
     throw std::invalid_argument("Subprocess: empty argv");
-  ignore_sigpipe_once();
+  ignore_sigpipe();
 
   int to_child[2] = {-1, -1};    // parent writes [1] -> child stdin [0]
   int from_child[2] = {-1, -1};  // child stdout [1] -> parent reads [0]
@@ -101,6 +93,7 @@ Subprocess::Subprocess(std::vector<std::string> argv) {
     stdin_fd_ = to_child[1];
   }
   stdout_fd_ = from_child[0];
+  framer_ = LineFramer(stdout_fd_);
 
   int exec_errno = 0;
   ssize_t n = 0;
@@ -134,56 +127,13 @@ Subprocess::~Subprocess() {
 }
 
 bool Subprocess::write_line(std::string_view line) {
-  std::string buffer;
-  buffer.reserve(line.size() + 1);
-  buffer.append(line);
-  buffer.push_back('\n');
-
   const MutexLock lock(write_mutex_);
   if (stdin_fd_ < 0) return false;
-  std::size_t written = 0;
-  while (written < buffer.size()) {
-    const ssize_t n = ::write(stdin_fd_, buffer.data() + written,
-                              buffer.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // EPIPE (child died) or a real I/O error: this channel is done.
-      ::close(stdin_fd_);
-      stdin_fd_ = -1;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<std::string> Subprocess::read_line() {
-  for (;;) {
-    const std::size_t newline = read_buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = read_buffer_.substr(0, newline);
-      read_buffer_.erase(0, newline + 1);
-      return line;
-    }
-    if (saw_eof_ || stdout_fd_ < 0) {
-      if (read_buffer_.empty()) return std::nullopt;
-      std::string line = std::move(read_buffer_);
-      read_buffer_.clear();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(stdout_fd_, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      saw_eof_ = true;  // undifferentiated I/O error: treat as EOF
-      continue;
-    }
-    if (n == 0) {
-      saw_eof_ = true;
-      continue;
-    }
-    read_buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  if (write_frame(stdin_fd_, line)) return true;
+  // EPIPE (child died) or a real I/O error: this channel is done.
+  ::close(stdin_fd_);
+  stdin_fd_ = -1;
+  return false;
 }
 
 void Subprocess::close_stdin() {

@@ -2,8 +2,9 @@
 //
 // A Subprocess is one spawned child with its stdin/stdout connected to
 // the parent over pipes, wrapped for the NDJSON protocols this repo
-// speaks: the parent writes request lines and reads response lines, and
-// the child's exit is observable without blocking. This is the ONLY
+// speaks: the parent writes request lines and reads response lines
+// through a bounded common::LineFramer, and the child's exit is
+// observable without blocking. This is the ONLY
 // place in the tree allowed to call fork/exec (tools/wtam_lint.py
 // enforces it): process spawning concentrates the signal handling,
 // fd hygiene, and reaping subtleties that scattered popen() calls get
@@ -16,8 +17,8 @@
 //     mutex; EINTR-retried; SIGPIPE is ignored process-wide the first
 //     time a Subprocess is constructed, so a dead child yields a false
 //     return, not a signal);
-//   * read_line must be called by at most ONE thread at a time — it is
-//     the reader thread's blocking loop; the buffer is deliberately
+//   * framer() is read by at most ONE thread at a time — it is the
+//     reader thread's blocking loop; its buffer is deliberately
 //     unsynchronized;
 //   * running()/kill()/wait() are safe from any thread (child state is
 //     mutex-guarded; waitpid is only ever called under that mutex, so
@@ -30,12 +31,12 @@
 
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <sys/types.h>
 #include <vector>
 
+#include "common/line_framer.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace wtam::common {
@@ -60,11 +61,10 @@ class Subprocess {
   /// decides whether that is a crash (router: respawn) or a shutdown.
   bool write_line(std::string_view line);
 
-  /// Blocking read of the next newline-terminated line (the newline is
-  /// stripped; a final unterminated line is returned as-is). nullopt on
-  /// EOF — the child closed stdout, almost always by exiting. Single
-  /// reader only; see the concurrency contract above.
-  [[nodiscard]] std::optional<std::string> read_line();
+  /// The child's stdout, framed into lines. Eof means the child closed
+  /// stdout, almost always by exiting. Single reader only; see the
+  /// concurrency contract above.
+  [[nodiscard]] LineFramer& framer() noexcept { return framer_; }
 
   /// Closes the child's stdin — the NDJSON idiom for "no more requests"
   /// (wtam_serve treats EOF as drain-and-exit). Idempotent.
@@ -96,8 +96,7 @@ class Subprocess {
 
   // Reader-thread-only state (single reader by contract, so no lock).
   int stdout_fd_ = -1;
-  std::string read_buffer_;
-  bool saw_eof_ = false;
+  LineFramer framer_{-1};
 
   mutable Mutex state_mutex_;
   bool reaped_ WTAM_GUARDED_BY(state_mutex_) = false;

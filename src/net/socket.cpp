@@ -1,9 +1,7 @@
 #include "net/socket.hpp"
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -19,14 +17,6 @@
 namespace wtam::net {
 
 namespace {
-
-/// A peer that hangs up must surface as a failed write, not a fatal
-/// SIGPIPE — done once, process-wide, before the first socket is made
-/// (same policy as common::Subprocess for pipes).
-void ignore_sigpipe_once() {
-  static std::once_flag once;
-  std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
 
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
@@ -63,14 +53,12 @@ Endpoint endpoint_from_sockaddr(const sockaddr_in& address) {
 
 }  // namespace
 
-Connection::Connection(int fd, std::size_t max_line_bytes)
-    : fd_(fd), max_line_bytes_(max_line_bytes) {
-  ignore_sigpipe_once();
+Connection::Connection(int fd) : fd_(fd), framer_(fd) {
+  common::ignore_sigpipe();
 }
 
-std::unique_ptr<Connection> Connection::connect(const Endpoint& endpoint,
-                                                std::size_t max_line_bytes) {
-  ignore_sigpipe_once();
+std::unique_ptr<Connection> Connection::connect(const Endpoint& endpoint) {
+  common::ignore_sigpipe();
   addrinfo* addresses = resolve(endpoint, /*for_bind=*/false);
   int fd = -1;
   int last_error = ECONNREFUSED;
@@ -95,7 +83,7 @@ std::unique_ptr<Connection> Connection::connect(const Endpoint& endpoint,
   // latency to the request/response ping-pong. Best-effort.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::make_unique<Connection>(fd, max_line_bytes);
+  return std::make_unique<Connection>(fd);
 }
 
 Connection::~Connection() {
@@ -104,72 +92,11 @@ Connection::~Connection() {
 }
 
 bool Connection::write_line(std::string_view line) {
-  std::string buffer;
-  buffer.reserve(line.size() + 1);
-  buffer.append(line);
-  buffer.push_back('\n');
-
   const common::MutexLock lock(write_mutex_);
   if (!write_open_) return false;
-  std::size_t written = 0;
-  while (written < buffer.size()) {
-    const ssize_t n = ::send(fd_, buffer.data() + written,
-                             buffer.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // EPIPE/ECONNRESET (peer gone) or a real I/O error: channel done.
-      write_open_ = false;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-ReadStatus Connection::read_line(std::string& line) {
-  bool overlong = false;
-  for (;;) {
-    const std::size_t newline = read_buffer_.find('\n');
-    if (newline != std::string::npos) {
-      if (overlong || newline > max_line_bytes_) {
-        // Discard the poisoned frame and report it; the stream is now
-        // aligned on the next frame boundary.
-        read_buffer_.erase(0, newline + 1);
-        return ReadStatus::TooLong;
-      }
-      line.assign(read_buffer_, 0, newline);
-      read_buffer_.erase(0, newline + 1);
-      return ReadStatus::Line;
-    }
-    if (overlong || read_buffer_.size() > max_line_bytes_) {
-      // Frame already too long and still no newline: drop what we have
-      // and keep skipping until the terminator (or EOF) shows up.
-      overlong = true;
-      read_buffer_.clear();
-    }
-    if (saw_eof_) {
-      if (overlong) return ReadStatus::TooLong;
-      if (read_buffer_.empty()) return ReadStatus::Eof;
-      line = std::move(read_buffer_);
-      read_buffer_.clear();
-      return ReadStatus::Line;
-    }
-    if (!fill_buffer()) saw_eof_ = true;
-  }
-}
-
-bool Connection::fill_buffer() {
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // undifferentiated I/O error: treat as EOF
-    }
-    if (n == 0) return false;
-    read_buffer_.append(chunk, static_cast<std::size_t>(n));
-    return true;
-  }
+  // EPIPE/ECONNRESET (peer gone) or a real I/O error: channel done.
+  write_open_ = common::write_frame(fd_, line);
+  return write_open_;
 }
 
 void Connection::shutdown_write() {
@@ -184,7 +111,7 @@ void Connection::shutdown_both() {
     const common::MutexLock lock(write_mutex_);
     write_open_ = false;
   }
-  // SHUT_RDWR (not close) so a reader blocked in recv() on another
+  // SHUT_RDWR (not close) so a reader blocked in read() on another
   // thread wakes with EOF instead of racing a reused fd number.
   ::shutdown(fd_, SHUT_RDWR);
 }
@@ -198,7 +125,7 @@ Endpoint Connection::peer_endpoint() const {
 }
 
 Listener::Listener(const Endpoint& endpoint) {
-  ignore_sigpipe_once();
+  common::ignore_sigpipe();
   addrinfo* addresses = resolve(endpoint, /*for_bind=*/true);
   int last_error = EADDRNOTAVAIL;
   for (const addrinfo* a = addresses; a != nullptr; a = a->ai_next) {
@@ -245,7 +172,7 @@ Listener::~Listener() {
   close_quietly(wake_write_);
 }
 
-std::unique_ptr<Connection> Listener::accept(std::size_t max_line_bytes) {
+std::unique_ptr<Connection> Listener::accept() {
   for (;;) {
     {
       const common::MutexLock lock(stop_mutex_);
@@ -271,7 +198,7 @@ std::unique_ptr<Connection> Listener::accept(std::size_t max_line_bytes) {
     }
     int one = 1;
     ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return std::make_unique<Connection>(client, max_line_bytes);
+    return std::make_unique<Connection>(client);
   }
 }
 

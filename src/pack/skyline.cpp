@@ -15,30 +15,31 @@ Skyline::Spot Skyline::best_spot(int width) const {
   if (width < 1 || width > total_width())
     throw std::invalid_argument("Skyline::best_spot: width outside strip");
 
-  // Sliding-window maximum of the per-wire free times (monotone deque of
-  // wire indices whose free times decrease), minimized over windows. The
-  // deque lives in reusable scratch: head/tail indices over a flat array
-  // (total pushes <= total_width, so it never overflows).
-  monotone_window_.resize(static_cast<std::size_t>(total_width()));
-  std::size_t head = 0;
-  std::size_t tail = 0;  // live candidates in [head, tail)
+  // Window maxima by blocks of `width` wires (van Herk / Gil-Werman): a
+  // window's maximum is its left block's suffix maximum (kept in scratch)
+  // and its right block's prefix maximum. No loop branches on the data,
+  // so the speed does not hinge on code layout as a monotone deque's did.
+  const std::size_t wires = free_time_.size();
+  const auto span = static_cast<std::size_t>(width);
+  window_base_.resize(wires);
+  for (std::size_t begin = 0; begin < wires; begin += span) {
+    std::size_t wire = std::min(begin + span, wires) - 1;
+    window_base_[wire] = free_time_[wire];
+    while (wire-- > begin)
+      window_base_[wire] = std::max(free_time_[wire], window_base_[wire + 1]);
+  }
   Spot best{0, 0};
-  bool have_best = false;
-  for (int wire = 0; wire < total_width(); ++wire) {
-    while (head < tail &&
-           free_time_[static_cast<std::size_t>(monotone_window_[tail - 1])] <=
-               free_time_[static_cast<std::size_t>(wire)])
-      --tail;
-    monotone_window_[tail++] = wire;
-    const int left = wire - width + 1;
-    if (left < 0) continue;
-    if (monotone_window_[head] < left) ++head;
-    const std::int64_t start =
-        free_time_[static_cast<std::size_t>(monotone_window_[head])];
-    if (!have_best || start < best.start) {
-      best = {left, start};
-      have_best = true;
-    }
+  std::int64_t prefix = 0;
+  std::size_t offset = 0;  // right's position within its block
+  for (std::size_t right = 0; right < wires; ++right) {
+    prefix = offset == 0 ? free_time_[right]
+                         : std::max(prefix, free_time_[right]);
+    offset = offset + 1 == span ? 0 : offset + 1;
+    if (right + 1 < span) continue;
+    const std::size_t left = right + 1 - span;
+    const std::int64_t start = std::max(window_base_[left], prefix);
+    if (left == 0 || start < best.start)
+      best = {static_cast<int>(left), start};
   }
   return best;
 }

@@ -134,12 +134,13 @@ class Skyline {
   // Reusable per-query scratch: zero steady-state allocations on the
   // constrained hot path. Logically const (query-local state only); see
   // the class comment for the single-owner threading contract.
-  mutable std::vector<int> monotone_window_;  ///< deque storage, both paths
+  mutable std::vector<int> monotone_window_;  ///< constrained search's deque
   mutable std::vector<char> blocked_scratch_;
   mutable std::vector<int> blocked_prefix_scratch_;
   /// Per-left-position window base starts (-1 = window blocked), filled
   /// by the constrained search's first pass so the single power probe and
-  /// the leftmost tie-break run without re-walking the skyline.
+  /// the leftmost tie-break run without re-walking the skyline; the
+  /// unconstrained search keeps its block suffix maxima here.
   mutable std::vector<std::int64_t> window_base_;
 };
 

@@ -323,6 +323,10 @@ std::size_t Router::shard_for(const api::JsonValue& value,
          count;
 }
 
+void Router::reject_line(const std::string& message) {
+  emit(error_object("router: " + message));
+}
+
 bool Router::handle_line(const std::string& line) {
   api::JsonValue value;
   try {

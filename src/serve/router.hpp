@@ -139,6 +139,10 @@ class Router {
   /// the caller stops reading.
   [[nodiscard]] bool handle_line(const std::string& line);
 
+  /// Answers the client with {"error": "router: <message>"} for a line
+  /// the transport refused before parsing (an oversized frame).
+  void reject_line(const std::string& message);
+
   /// EOF path: drains and stops the fleet exactly like the shutdown
   /// verb but emits no ack line. Idempotent.
   void shutdown();

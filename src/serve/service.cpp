@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "api/cache_store.hpp"
+#include "common/line_framer.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -232,6 +233,10 @@ void Service::write_error(const Sink& sink, const std::string& id,
   sink(error_response(id, message).dump_compact_string());
 }
 
+void Service::reject_line(std::uint64_t line_number, const Sink& sink) {
+  write_error(sink, {}, common::too_long_message(line_number));
+}
+
 Service::Action Service::handle_line(const std::string& line,
                                      std::uint64_t line_number,
                                      const Sink& sink) {
@@ -314,7 +319,16 @@ void Service::submit_job(api::SolveRequest request, std::uint64_t /*number*/,
           break;
         }
     }
-    sink(api::result_to_json(result, write_options_).dump_compact_string());
+    // Readers frame this stream with the same bound, so an answer past
+    // it (an echoed tag is enough) becomes an error line.
+    const std::string line =
+        api::result_to_json(result, write_options_).dump_compact_string();
+    if (line.size() > common::kMaxLineBytes)
+      write_error(sink, request.id,
+                  "answer exceeds the line-length bound of " +
+                      std::to_string(common::kMaxLineBytes) + " bytes");
+    else
+      sink(line);
     obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
     registry.histogram("serve.job_ns").record_ns(queued.elapsed_ns());
     registry.counter("serve.jobs_completed").increment();

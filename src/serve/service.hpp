@@ -81,6 +81,10 @@ class Service {
                                    std::uint64_t line_number,
                                    const Sink& sink);
 
+  /// Answers a frame the transport dropped for exceeding the line-length
+  /// bound. Thread-safe.
+  void reject_line(std::uint64_t line_number, const Sink& sink);
+
   /// The EOF / signal path: blocks until no job is in flight, then saves
   /// the cache file (when configured). Emits no ack line. Idempotent.
   void drain_and_save();

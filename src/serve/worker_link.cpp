@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/line_framer.hpp"
 #include "common/subprocess.hpp"
 #include "common/timer.hpp"
 #include "net/endpoint.hpp"
@@ -33,6 +34,17 @@ std::string WorkerSpec::describe() const {
 
 namespace {
 
+/// The read both links share. An oversized worker frame is a protocol
+/// violation, not data (wtam_serve never writes one): skipping it keeps
+/// the stream aligned.
+std::optional<std::string> read_worker_line(common::LineFramer& framer) {
+  for (std::string line;;) {
+    const common::LineFramer::Status status = framer.read_line(line);
+    if (status == common::LineFramer::Status::Line) return line;
+    if (status != common::LineFramer::Status::TooLong) return std::nullopt;
+  }
+}
+
 class SubprocessLink final : public WorkerLink {
  public:
   explicit SubprocessLink(const std::vector<std::string>& argv)
@@ -42,7 +54,7 @@ class SubprocessLink final : public WorkerLink {
     return process_.write_line(line);
   }
   std::optional<std::string> read_line() override {
-    return process_.read_line();
+    return read_worker_line(process_.framer());
   }
   void close_input() override { process_.close_stdin(); }
   void sever() override { process_.kill(); }
@@ -61,20 +73,7 @@ class SocketLink final : public WorkerLink {
     return connection_->write_line(line);
   }
   std::optional<std::string> read_line() override {
-    // Oversized frames from a worker are a protocol violation, not data;
-    // skipping them keeps the stream aligned and the router's orphan
-    // accounting treats the missing response like a lost write.
-    std::string line;
-    for (;;) {
-      switch (connection_->read_line(line)) {
-        case net::ReadStatus::Line:
-          return line;
-        case net::ReadStatus::TooLong:
-          continue;
-        case net::ReadStatus::Eof:
-          return std::nullopt;
-      }
-    }
+    return read_worker_line(connection_->framer());
   }
   void close_input() override { connection_->shutdown_write(); }
   void sever() override { connection_->shutdown_both(); }

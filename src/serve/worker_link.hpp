@@ -16,9 +16,11 @@
 //     that is restarting (or whose heartbeat blip caused the sever)
 //     rejoins the fleet without operator action.
 //
-// The router treats both identically: EOF on read_line means the worker
-// is gone, make_worker_link(spec) brings the slot back, and the
-// at-least-once replay machinery re-sends whatever was in flight.
+// Both read through a common::LineFramer and skip a worker frame longer
+// than common::kMaxLineBytes the same way. The router treats both
+// identically: EOF on read_line means the worker is gone,
+// make_worker_link(spec) brings the slot back, and the at-least-once
+// replay machinery re-sends whatever was in flight.
 
 #pragma once
 

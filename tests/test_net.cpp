@@ -1,8 +1,9 @@
 // Socket transport mechanics: endpoint parsing and the line framing
 // that every multi-host conversation rides on. The framing tests drive
-// a net::Connection from the raw peer end of a socketpair, so partial
-// frames, dribbling writers, oversized lines, and mid-frame hangups are
-// exact, not timing-dependent. (Tests sit outside the raw-socket lint
+// a net::Connection's framer from the raw peer end of a socketpair, so
+// partial frames, dribbling writers, oversized lines (just past the
+// real common::kMaxLineBytes bound), and mid-frame hangups are exact,
+// not timing-dependent. (Tests sit outside the raw-socket lint
 // scope; production code must go through src/net/.)
 
 #include <gtest/gtest.h>
@@ -22,6 +23,9 @@
 
 namespace wtam::net {
 namespace {
+
+using Status = common::LineFramer::Status;
+using common::kMaxLineBytes;
 
 // ---- endpoint parsing ------------------------------------------------------
 
@@ -63,21 +67,35 @@ TEST(Endpoint, RejectsMalformedSpellings) {
 struct FramedPair {
   std::unique_ptr<Connection> connection;
   int raw_fd = -1;
+  std::thread writer;
 
-  explicit FramedPair(std::size_t max_line_bytes = 256) {
+  FramedPair() {
     int fds[2] = {-1, -1};
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    connection = std::make_unique<Connection>(fds[0], max_line_bytes);
+    connection = std::make_unique<Connection>(fds[0]);
     raw_fd = fds[1];
   }
 
   ~FramedPair() {
+    // A failed assertion may leave the writer blocked on a full socket:
+    // the shutdown fails its send so the join cannot hang.
+    connection->shutdown_both();
+    if (writer.joinable()) writer.join();
     if (raw_fd >= 0) ::close(raw_fd);
   }
 
   void send_raw(const std::string& bytes) const {
     ASSERT_EQ(::send(raw_fd, bytes.data(), bytes.size(), 0),
               static_cast<ssize_t>(bytes.size()));
+  }
+
+  /// Sends `chunks` in order from a helper thread: a frame past the
+  /// bound does not fit in the socket buffer, so it must be written
+  /// while the test reads.
+  void send_in_background(std::vector<std::string> chunks) {
+    writer = std::thread([this, chunks = std::move(chunks)] {
+      for (const std::string& chunk : chunks) send_raw(chunk);
+    });
   }
 
   void hang_up() {
@@ -92,7 +110,7 @@ TEST(Framing, ReassemblesAFrameSplitAcrossWrites) {
   pair.send_raw("\"stats\"");
   pair.send_raw("}\n");
   std::string line;
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "{\"op\": \"stats\"}");
 }
 
@@ -101,11 +119,11 @@ TEST(Framing, SplitsMultipleFramesArrivingInOneWrite) {
   pair.send_raw("alpha\nbeta\ngam");
   pair.send_raw("ma\n");
   std::string line;
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "alpha");
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "beta");
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "gamma");
 }
 
@@ -117,31 +135,31 @@ TEST(Framing, ByteAtATimeWriterStillFramesCorrectly) {
     pair.send_raw("\n");
   });
   std::string line;
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, message);
   writer.join();
 }
 
 TEST(Framing, OversizedLineIsRejectedAndTheStreamResyncs) {
-  FramedPair pair(/*max_line_bytes=*/16);
-  pair.send_raw(std::string(64, 'x') + "\nok\n");
+  FramedPair pair;
+  pair.send_in_background({std::string(kMaxLineBytes + 1, 'x') + "\nok\n"});
   std::string line;
   // The overlong frame is rejected without tearing the connection...
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::TooLong);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::TooLong);
   // ...and the next frame after the newline arrives intact.
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "ok");
 }
 
 TEST(Framing, OversizedLineLargerThanTheBufferStillResyncs) {
-  FramedPair pair(/*max_line_bytes=*/16);
+  FramedPair pair;
   // No newline for a while: the reader must keep discarding without
   // growing its buffer past the bound.
-  pair.send_raw(std::string(100, 'a'));
-  pair.send_raw(std::string(100, 'b') + "\nafter\n");
+  pair.send_in_background({std::string(kMaxLineBytes, 'a'),
+                           std::string(100, 'b') + "\nafter\n"});
   std::string line;
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::TooLong);
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::TooLong);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "after");
 }
 
@@ -149,23 +167,23 @@ TEST(Framing, AbruptDisconnectMidFrameDeliversTheFinalPartialLine) {
   FramedPair pair;
   pair.send_raw("complete\nunterminated");
   std::string line;
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "complete");
   pair.hang_up();
   // The unterminated tail still counts as a line (matches stdin
   // semantics)...
-  ASSERT_EQ(pair.connection->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(pair.connection->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "unterminated");
   // ...and only then does the stream report EOF, forever.
-  EXPECT_EQ(pair.connection->read_line(line), ReadStatus::Eof);
-  EXPECT_EQ(pair.connection->read_line(line), ReadStatus::Eof);
+  EXPECT_EQ(pair.connection->framer().read_line(line), Status::Eof);
+  EXPECT_EQ(pair.connection->framer().read_line(line), Status::Eof);
 }
 
 TEST(Framing, ImmediateDisconnectIsAPlainEof) {
   FramedPair pair;
   pair.hang_up();
   std::string line;
-  EXPECT_EQ(pair.connection->read_line(line), ReadStatus::Eof);
+  EXPECT_EQ(pair.connection->framer().read_line(line), Status::Eof);
 }
 
 TEST(Framing, WriteLineAppendsExactlyOneNewline) {
@@ -178,7 +196,7 @@ TEST(Framing, WriteLineAppendsExactlyOneNewline) {
 }
 
 TEST(Framing, WritesFromManyThreadsNeverInterleave) {
-  FramedPair pair(1u << 20);
+  FramedPair pair;
   constexpr int kThreads = 4;
   constexpr int kLines = 50;
   std::vector<std::thread> writers;
@@ -218,7 +236,7 @@ TEST(Framing, ShutdownBothUnblocksABlockedReader) {
   std::thread reader([&pair, &unblocked] {
     std::string line;
     // No data ever arrives: only the shutdown can release this read.
-    (void)pair.connection->read_line(line);
+    (void)pair.connection->framer().read_line(line);
     unblocked.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -228,6 +246,16 @@ TEST(Framing, ShutdownBothUnblocksABlockedReader) {
   EXPECT_TRUE(unblocked.load());
   // Writes after the shutdown fail cleanly instead of crashing.
   EXPECT_FALSE(pair.connection->write_line("late"));
+}
+
+TEST(Framing, WriteToAClosedPeerFailsInsteadOfSignaling) {
+  FramedPair pair;
+  ::close(pair.raw_fd);
+  pair.raw_fd = -1;
+  // The peer is gone: the write reports failure (SIGPIPE is ignored
+  // process-wide), it must not kill this test with SIGPIPE.
+  EXPECT_FALSE(pair.connection->write_line("anyone there?"));
+  EXPECT_FALSE(pair.connection->write_line("still no"));
 }
 
 // ---- listener + real TCP ---------------------------------------------------
@@ -246,10 +274,10 @@ TEST(Listener, PortZeroBindsAnEphemeralPortAndRoundTrips) {
 
   EXPECT_TRUE(client->write_line("{\"op\": \"ping\"}"));
   std::string line;
-  ASSERT_EQ(server->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(server->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "{\"op\": \"ping\"}");
   EXPECT_TRUE(server->write_line("{\"op\": \"ping\", \"ok\": true}"));
-  ASSERT_EQ(client->read_line(line), ReadStatus::Line);
+  ASSERT_EQ(client->framer().read_line(line), Status::Line);
   EXPECT_EQ(line, "{\"op\": \"ping\", \"ok\": true}");
 
   listener.stop();

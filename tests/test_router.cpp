@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +17,11 @@
 #include <unistd.h>
 
 #include "api/json_value.hpp"
+#include "common/line_framer.hpp"
 #include "common/thread_annotations.hpp"
+#include "net/socket.hpp"
 #include "serve/router.hpp"
+#include "serve/worker_link.hpp"
 
 namespace wtam::serve {
 namespace {
@@ -394,6 +398,33 @@ TEST(Router, ResizeRebootsTheFleetAtTheNewSize) {
   std::vector<api::JsonValue> storage;
   EXPECT_NE(find_line_with_id(collector->lines(), storage, "post-resize"),
             nullptr);
+}
+
+// A worker frame past common::kMaxLineBytes is skipped the same way on
+// both links: the next frame arrives, then EOF.
+TEST(WorkerLink, OversizedWorkerFrameIsSkippedOnPipeAndSocket) {
+  const std::size_t oversized = common::kMaxLineBytes + 1;
+
+  const std::unique_ptr<WorkerLink> pipe = make_worker_link(WorkerSpec::local(
+      {"/bin/sh", "-c",
+       "head -c " + std::to_string(oversized) +
+           " /dev/zero | tr '\\0' x; echo; echo after"}));
+  EXPECT_EQ(pipe->read_line(), std::optional<std::string>("after"));
+  EXPECT_EQ(pipe->read_line(), std::nullopt);
+  pipe->finish();
+
+  net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+  std::thread worker([&listener, oversized] {
+    const std::unique_ptr<net::Connection> client = listener.accept();
+    if (!client) return;
+    EXPECT_TRUE(client->write_line(std::string(oversized, 'x')));
+    EXPECT_TRUE(client->write_line("after"));
+  });  // the Connection's destructor hangs up: the link sees EOF
+  const std::unique_ptr<WorkerLink> socket = make_worker_link(
+      WorkerSpec::connect(listener.local_endpoint().to_string()));
+  EXPECT_EQ(socket->read_line(), std::optional<std::string>("after"));
+  EXPECT_EQ(socket->read_line(), std::nullopt);
+  worker.join();
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "pack/skyline.hpp"
 
 namespace wtam::pack {
@@ -100,8 +103,7 @@ TEST(Skyline, WidthOneStripDegeneratesToASerialLane) {
 
 TEST(Skyline, SlidingWindowMaxOverShrinkingSegments) {
   // A strictly descending staircase: segments of decreasing height where
-  // every window's max is its leftmost wire. The monotone deque must
-  // evict exactly one candidate per step.
+  // every window's max is its leftmost wire.
   Skyline sky(6);
   for (int wire = 0; wire < 6; ++wire)
     sky.place(wire, 1, 60 - 10 * wire);  // heights 60,50,40,30,20,10
@@ -237,6 +239,41 @@ TEST(Skyline, ClearResetsPowerTimelineToo) {
   const auto spot = sky.best_spot(query);
   ASSERT_TRUE(spot.has_value());
   EXPECT_EQ(spot->start, 0);
+}
+
+TEST(Skyline, BestSpotMatchesABruteForceScan) {
+  // Random skylines with many ties (heights drawn from a small range):
+  // every width's spot is the leftmost window of least maximum, and the
+  // unconstrained query path picks the same spot.
+  common::Rng rng(20240601);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int wires = static_cast<int>(rng.uniform_int(1, 70));
+    const std::int64_t top = rng.uniform_int(0, 6);
+    Skyline sky(wires);
+    for (int wire = 0; wire < wires; ++wire)
+      sky.place(wire, 1, rng.uniform_int(0, top));
+    for (int width = 1; width <= wires; ++width) {
+      Skyline::Spot expected{0, -1};
+      for (int left = 0; left + width <= wires; ++left) {
+        std::int64_t start = 0;
+        for (int wire = left; wire < left + width; ++wire)
+          start = std::max(start, sky.free_time(wire));
+        if (expected.start < 0 || start < expected.start)
+          expected = {left, start};
+      }
+      const Skyline::Spot spot = sky.best_spot(width);
+      EXPECT_EQ(spot.wire, expected.wire) << "wires=" << wires
+                                          << " width=" << width;
+      EXPECT_EQ(spot.start, expected.start) << "wires=" << wires
+                                            << " width=" << width;
+      Skyline::SpotQuery query;
+      query.width = width;
+      const auto queried = sky.best_spot(query);
+      ASSERT_TRUE(queried.has_value());
+      EXPECT_EQ(queried->wire, expected.wire);
+      EXPECT_EQ(queried->start, expected.start);
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include <sys/wait.h>
 
@@ -9,6 +12,15 @@
 namespace wtam::common {
 namespace {
 
+/// The child's next stdout line; nullopt at EOF.
+std::optional<std::string> next_line(Subprocess& child) {
+  std::string line;
+  const LineFramer::Status status = child.framer().read_line(line);
+  EXPECT_NE(status, LineFramer::Status::TooLong);
+  if (status != LineFramer::Status::Line) return std::nullopt;
+  return line;
+}
+
 TEST(Subprocess, EchoRoundTripAndCleanExit) {
   Subprocess cat({"/bin/cat"});
   EXPECT_TRUE(cat.running());
@@ -16,16 +28,16 @@ TEST(Subprocess, EchoRoundTripAndCleanExit) {
 
   EXPECT_TRUE(cat.write_line("hello"));
   EXPECT_TRUE(cat.write_line("world"));
-  const auto first = cat.read_line();
+  const auto first = next_line(cat);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, "hello");
-  const auto second = cat.read_line();
+  const auto second = next_line(cat);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*second, "world");
 
   // EOF on stdin: cat drains and exits 0; our read side sees EOF.
   cat.close_stdin();
-  EXPECT_FALSE(cat.read_line().has_value());
+  EXPECT_FALSE(next_line(cat).has_value());
   const int status = cat.wait();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
@@ -44,7 +56,7 @@ TEST(Subprocess, KillSurfacesAsEof) {
   Subprocess cat({"/bin/cat"});
   cat.kill();
   // The reader observes the death as EOF, not a hang or a signal.
-  EXPECT_FALSE(cat.read_line().has_value());
+  EXPECT_FALSE(next_line(cat).has_value());
   const int status = cat.wait();
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGKILL);
@@ -62,10 +74,30 @@ TEST(Subprocess, WriteToDeadChildFailsInsteadOfSignaling) {
 
 TEST(Subprocess, UnterminatedFinalLineIsReturned) {
   Subprocess child({"/bin/sh", "-c", "printf 'no-newline'"});
-  const auto line = child.read_line();
+  const auto line = next_line(child);
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, "no-newline");
-  EXPECT_FALSE(child.read_line().has_value());
+  EXPECT_FALSE(next_line(child).has_value());
+}
+
+TEST(Subprocess, LongLineArrivesIntact) {
+  // 1 MiB is far past any pipe buffer: the writer blocks until the
+  // child echoes and this thread reads, so the write runs beside it.
+  Subprocess cat({"/bin/cat"});
+  std::string payload(1u << 20, 'x');
+  for (std::size_t i = 0; i < payload.size(); i += 4099)
+    payload[i] = static_cast<char>('a' + i % 26);
+  std::thread writer([&cat, &payload] {
+    EXPECT_TRUE(cat.write_line(payload));
+    EXPECT_TRUE(cat.write_line("next"));
+    cat.close_stdin();
+  });
+  const auto line = next_line(cat);
+  writer.join();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(*line, payload);
+  EXPECT_EQ(next_line(cat), "next");
+  EXPECT_FALSE(next_line(cat).has_value());
 }
 
 TEST(Subprocess, CloseStdinIsIdempotent) {
@@ -73,7 +105,7 @@ TEST(Subprocess, CloseStdinIsIdempotent) {
   cat.close_stdin();
   cat.close_stdin();
   EXPECT_FALSE(cat.write_line("after close"));
-  EXPECT_FALSE(cat.read_line().has_value());
+  EXPECT_FALSE(next_line(cat).has_value());
 }
 
 }  // namespace

@@ -39,7 +39,9 @@ repo-specific discipline, so this linter enforces it mechanically:
                      send/recv/getaddrinfo/...) are banned outside
                      src/net/ — talk through net::Listener /
                      net::Connection, which own SIGPIPE, EINTR retries,
-                     framing bounds, and shutdown semantics.      [src, tools]
+                     and shutdown semantics (reads are framed and
+                     bounded by common::LineFramer, like every other
+                     transport).                                  [src, tools]
 
 A finding can be waived on its line (or the line above) with
     // wtam-lint: allow(<rule>) — <reason>

@@ -1,7 +1,10 @@
 // wtam_router — shard router fronting a fleet of wtam_serve workers.
 //
 // Speaks the same NDJSON protocol as wtam_serve on stdin/stdout, so any
-// wtam_serve client can point at the router unchanged. Workers are
+// wtam_serve client can point at the router unchanged. Stdin and every
+// worker channel read through common::LineFramer: a client line longer
+// than common::kMaxLineBytes is answered with a "router: " error and
+// never forwarded, and an oversized worker frame is skipped. Workers are
 // local subprocesses (spawned from --serve) and/or remote `wtam_serve
 // --listen` endpoints (--worker host:port), mixed freely in one fleet.
 // Jobs shard by cache identity (the job's first RequestKey hashes to a
@@ -64,6 +67,9 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/line_framer.hpp"
 #include "net/endpoint.hpp"
 #include "serve/router.hpp"
 
@@ -236,10 +242,15 @@ int main(int argc, char** argv) {
                 << serve_path
                 << "); one JSON request per line, {\"op\": \"shutdown\"} "
                    "to stop\n";
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.empty()) continue;
-      if (!router.handle_line(line)) return 0;
+    common::LineFramer input(STDIN_FILENO);
+    for (std::string line;;) {
+      const common::LineFramer::Status status = input.read_line(line);
+      if (status == common::LineFramer::Status::TooLong)
+        router.reject_line(common::too_long_message(input.line_number()));
+      else if (status != common::LineFramer::Status::Line)
+        break;
+      else if (!line.empty() && !router.handle_line(line))
+        return 0;
     }
     router.shutdown();  // EOF: drain the fleet silently
     return 0;

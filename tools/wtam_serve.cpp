@@ -65,8 +65,8 @@
 // bind, 2 on usage errors. Malformed request lines are answered with an
 // {"error": ...} object (the id is echoed when one can be salvaged) and
 // the server keeps serving — a bad client must not take the service
-// down. An oversized line (beyond the framing bound) is answered with a
-// clean error and the stream resyncs at the next newline.
+// down. A line longer than common::kMaxLineBytes gets the same error
+// on stdin and TCP, and the stream resyncs at the next newline.
 
 #include <atomic>
 #include <cerrno>
@@ -82,9 +82,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include <poll.h>
 #include <unistd.h>
 
+#include "common/line_framer.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
@@ -123,7 +123,7 @@ class StdoutWriter {
 // only async-signal-safe thing — writes one byte — and the transport
 // loops treat that byte as "stop accepting, drain, save, exit", so a
 // kill-based orchestrator gets the same warm cache a clean shutdown
-// leaves behind. Installed WITHOUT SA_RESTART so a blocked stdin read
+// leaves behind. Installed WITHOUT SA_RESTART so a blocked stdin poll
 // returns instead of silently resuming.
 int g_signal_pipe[2] = {-1, -1};
 
@@ -179,67 +179,40 @@ class ConnectionRegistry {
       connections_ WTAM_GUARDED_BY(mutex_);
 };
 
-/// The stdin/stdout transport. Polls stdin alongside the signal pipe so
-/// SIGTERM/SIGINT break the read loop; lines are reassembled from raw
-/// chunks (the poll wakeup granularity), and a final unterminated line
-/// still counts. Returns the process exit status.
+/// The one dispatch loop, for stdin and every TCP client. Returns true
+/// when a shutdown verb ended the stream (drained, saved and acked
+/// inside the verb), false on EOF or a stop signal.
+bool pump(serve::Service& service, common::LineFramer& framer,
+          const serve::Service::Sink& sink) {
+  std::string line;
+  for (;;) {
+    switch (framer.read_line(line)) {
+      case common::LineFramer::Status::Line:
+        if (service.handle_line(line, framer.line_number(), sink) ==
+            serve::Service::Action::Shutdown)
+          return true;
+        continue;
+      case common::LineFramer::Status::TooLong:
+        service.reject_line(framer.line_number(), sink);
+        continue;
+      case common::LineFramer::Status::Eof:
+      case common::LineFramer::Status::Stopped:
+        return false;
+    }
+  }
+}
+
+/// The stdin/stdout transport; the signal self-pipe is the framer's
+/// stop fd. Returns the process exit status.
 int run_stdio(serve::Service& service) {
   StdoutWriter out;
   const serve::Service::Sink sink = [&out](const std::string& line) {
     out.write(line);
   };
-
-  std::string buffer;
-  std::uint64_t line_number = 0;
-  bool eof = false;
-  bool signaled = false;
-  while (!eof && !signaled) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    const nfds_t count = g_signal_pipe[0] >= 0 ? 2 : 1;
-    const int ready = ::poll(fds, count, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (count == 2 && (fds[1].revents & POLLIN) != 0) {
-      signaled = true;
-      break;
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    char chunk[4096];
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t newline = buffer.find('\n', start);
-         newline != std::string::npos;
-         newline = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      if (service.handle_line(line, ++line_number, sink) ==
-          serve::Service::Action::Shutdown) {
-        return 0;  // drained, saved, acked inside the verb
-      }
-    }
-    buffer.erase(0, start);
-  }
-  // EOF: a final unterminated line still counts (matches getline).
-  if (eof && !buffer.empty()) {
-    if (service.handle_line(buffer, ++line_number, sink) ==
-        serve::Service::Action::Shutdown)
-      return 0;
-  }
+  common::LineFramer input(STDIN_FILENO, g_signal_pipe[0]);
   // EOF or signal: drain and exit like a silent shutdown (cache saved
   // the same).
-  service.drain_and_save();
+  if (!pump(service, input, sink)) service.drain_and_save();
   return 0;
 }
 
@@ -310,43 +283,17 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
           [connection](const std::string& line) {
             (void)connection->write_line(line);
           };
-      std::string line;
-      std::uint64_t line_number = 0;
-      for (;;) {
-        switch (connection->read_line(line)) {
-          case net::ReadStatus::Line: {
-            ++line_number;
-            if (line.empty()) continue;
-            if (service.handle_line(line, line_number, sink) ==
-                serve::Service::Action::Shutdown) {
-              // Drained and saved; now stop the world. The ack already
-              // reached this client.
-              stopping.store(true);
-              listener->stop();
-              registry.sever_all();
-              return;
-            }
-            continue;
-          }
-          case net::ReadStatus::TooLong: {
-            ++line_number;
-            api::JsonValue response = api::JsonValue::object();
-            response.set(
-                "error",
-                api::JsonValue::string(
-                    "line " + std::to_string(line_number) +
-                    ": frame exceeds the line-length bound; resynced at "
-                    "the next newline"));
-            sink(response.dump_compact_string());
-            continue;
-          }
-          case net::ReadStatus::Eof:
-            // Client hung up: just this client ends. In-flight jobs
-            // still complete (their writes land on the dead socket and
-            // are dropped).
-            registry.remove(id);
-            return;
-        }
+      if (pump(service, connection->framer(), sink)) {
+        // Drained and saved; now stop the world. The ack already
+        // reached this client.
+        stopping.store(true);
+        listener->stop();
+        registry.sever_all();
+      } else {
+        // Client hung up: just this client ends. In-flight jobs still
+        // complete (their writes land on the dead socket and are
+        // dropped).
+        registry.remove(id);
       }
     }));
   }
